@@ -304,13 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(scripts use this with --port 0)",
     )
     p.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="micro-batching window for cache misses (default 2.0; hits "
-        "never wait)",
-    )
-    p.add_argument(
         "--max-batch", type=int, default=256, metavar="N",
-        help="flush a miss batch early once N queries are queued "
+        help="most cache misses one plan batch takes; misses queue only "
+        "while the planner is busy and the rest ride the next batch "
         "(default 256)",
     )
     p.add_argument(
@@ -402,11 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--connect", default=None, metavar="HOST:PORT",
         help="drive a running `repro serve` daemon over TCP instead of an "
         "in-process service",
-    )
-    p.add_argument(
-        "--batch-window-ms", type=float, default=2.0, metavar="MS",
-        help="micro-batching window of the in-process service (ignored "
-        "with --connect; default 2.0)",
     )
     p.add_argument(
         "--no-warm", action="store_true",
@@ -901,7 +892,6 @@ def _serve_config(args) -> "object":
     from .plan.service import ServeConfig
 
     return ServeConfig(
-        batch_window_s=args.batch_window_ms / 1e3,
         max_batch=getattr(args, "max_batch", 256),
         cache_capacity=getattr(args, "cache_capacity", 65536),
         warm=not getattr(args, "no_warm", False),
@@ -1001,10 +991,10 @@ def _cmd_serve(args) -> int:
             signal.SIGTERM,
             lambda signum, frame: server.request_shutdown(),
         )
-    print("serving plans on %s:%d (batch window %.1f ms, protocol: "
+    print("serving plans on %s:%d (max batch %d, protocol: "
           "docs/SERVING.md; send {\"op\": \"shutdown\"}, SIGTERM, or "
           "Ctrl-C to stop)"
-          % (server.host, server.port, args.batch_window_ms))
+          % (server.host, server.port, args.max_batch))
     sys.stdout.flush()
     try:
         server.serve_forever()

@@ -15,7 +15,7 @@ side: :mod:`repro.harness`, :mod:`repro.gpu.executor`).
   shape keys, the membership gate of the Stream-K++ adaptive winner
   cache (:mod:`repro.ensembles.adaptive`; ``docs/ADAPTIVE.md``).
 * :mod:`~repro.plan.service` — micro-batching :class:`PlanService`:
-  synchronous cache hits, window-coalesced misses.
+  synchronous cache hits, misses batched by group commit.
 * :mod:`~repro.plan.resilience` — the overload contract: structured
   rejections (``overloaded``/``deadline_expired``/``degraded``/...),
   the circuit breaker, the client retry policy, and the deterministic

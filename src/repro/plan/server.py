@@ -30,8 +30,8 @@ structured rejections (``overloaded``, ``deadline_expired``,
 :mod:`repro.plan.resilience`) and the request ``id`` echoed when it was
 parseable — and the connection stays usable.  Each connection is
 handled by its own thread (``ThreadingTCPServer``), so concurrent
-clients' cache misses land in the same micro-batch window — the server
-inherits the batching behavior of the service it wraps.
+clients' cache misses queue for the same batcher — the server inherits
+the batching behavior of the service it wraps.
 
 A request line longer than ``max_line_bytes`` (default 64 KiB) is
 consumed and answered with an ``oversized`` error instead of buffering

@@ -7,11 +7,14 @@ loadgen``'s in-process mode.  It implements the serving contract of
 
 * **Hit path** — :meth:`submit` resolves cache hits synchronously on the
   calling thread (one LRU lookup, no queueing), which is why hit latency
-  is microseconds and independent of the batching window.
+  is microseconds and independent of miss batching.
 * **Miss path** — misses are enqueued to a single batcher thread that
-  waits up to ``batch_window_s`` (or until ``max_batch`` queued misses)
-  for concurrent queries to pile up, then groups them by ``(dtype,
-  gpu)`` binding and prices each group's *unique* shapes through **one**
+  batches by group commit: whenever it is free it takes everything
+  queued (up to ``max_batch``) and plans it at once, so a lone miss is
+  planned immediately and misses that arrive while a batch is planning
+  form the next one.  No timer is involved; occupancy follows load.
+  Each batch is grouped by ``(dtype, gpu)`` binding and each group's
+  *unique* shapes are priced through **one**
   :func:`repro.plan.core.plan_batch` call — one batched Appendix A.1
   argmin and one batched walk instead of N scalar model evaluations.
   Results fill the plan cache and resolve every waiter.
@@ -101,12 +104,8 @@ DEFAULT_DTYPE_NAME = "fp16_fp32"
 class ServeConfig:
     """Tunables for one :class:`PlanService` (see docs/SERVING.md)."""
 
-    #: Micro-batching window: how long the batcher waits for concurrent
-    #: misses to coalesce before pricing the batch.  Bounds worst-case
-    #: added miss latency; never delays cache hits.
-    batch_window_s: float = 0.002
-    #: Queued misses that trigger an immediate flush before the window
-    #: expires (prevents unbounded batches under heavy load).
+    #: Most queued misses one batch takes (bounds batch memory); the
+    #: rest ride the following batch.
     max_batch: int = 256
     #: Hot-tier LRU capacity per ``(dtype, gpu)`` binding.
     cache_capacity: int = 65536
@@ -311,7 +310,7 @@ class PlanService:
         """Plan one query; blocks until the plan is available.
 
         Hits return synchronously from the calling thread; misses ride
-        the next micro-batch.  The returned plan's ``provenance`` tells
+        the next batch.  The returned plan's ``provenance`` tells
         which path it took (``cache:*`` vs ``model``).
 
         ``deadline_ms`` is the caller's total latency budget: the wait
@@ -467,17 +466,9 @@ class PlanService:
                     self._cond.wait()
                 if self._stop and not self._queue:
                     return
-                # Window: wait for concurrent misses to coalesce, but
-                # flush early once max_batch are queued.
-                deadline = time.perf_counter() + self.config.batch_window_s
-                while (
-                    len(self._queue) < self.config.max_batch
-                    and not self._stop
-                ):
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(timeout=remaining)
+                # Group commit: take whatever queued while the previous
+                # batch was planning; an idle batcher plans a lone miss
+                # at once.
                 batch = self._queue[: self.config.max_batch]
                 del self._queue[: self.config.max_batch]
             self._run_batch(batch)

@@ -183,10 +183,7 @@ class TestSelectorMechanics:
 class TestServiceIntegration:
     def _service(self, **kw):
         return PlanService(
-            ServeConfig(
-                warm=False, persist=False, batch_window_s=0.0,
-                adaptive=True, **kw,
-            )
+            ServeConfig(warm=False, persist=False, adaptive=True, **kw)
         )
 
     def test_adaptive_hot_path_ahead_of_lru(self):
@@ -203,7 +200,7 @@ class TestServiceIntegration:
     def test_adaptive_disabled_by_default(self):
         reset_counters()
         with PlanService(
-            ServeConfig(warm=False, persist=False, batch_window_s=0.0)
+            ServeConfig(warm=False, persist=False)
         ) as svc:
             svc.submit(*_SHAPES[0])
             plan = svc.submit(*_SHAPES[0])
@@ -217,7 +214,7 @@ class TestServiceIntegration:
             a = svc.submit(*_SHAPES[1])
             b = svc.submit(*_SHAPES[1])
         with PlanService(
-            ServeConfig(warm=False, persist=False, batch_window_s=0.0)
+            ServeConfig(warm=False, persist=False)
         ) as plain:
             c = plain.submit(*_SHAPES[1])
         assert a == b == c  # provenance differs; plan decision identical

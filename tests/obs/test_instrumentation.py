@@ -129,19 +129,20 @@ class TestOverhead:
         shapes = generate_corpus(CorpusSpec(size=2000))
         evaluate_corpus(shapes, FP16_FP32, A100)  # warm calibration + caches
 
-        def best_of(n=5):
-            best = float("inf")
-            for _ in range(n):
-                t0 = time.perf_counter()
-                evaluate_corpus(shapes, FP16_FP32, A100)
-                best = min(best, time.perf_counter() - t0)
-            return best
+        def timed():
+            t0 = time.perf_counter()
+            evaluate_corpus(shapes, FP16_FP32, A100)
+            return time.perf_counter() - t0
 
-        profiler.disable_profiling()
-        disabled = best_of()
-        profiler.enable_profiling()
+        # Alternate the two sides, so host load that drifts during the
+        # test lands on both alike instead of on whichever ran second.
+        disabled = enabled = float("inf")
         profiler.reset_profile()
-        enabled = best_of()
+        for _ in range(5):
+            profiler.disable_profiling()
+            disabled = min(disabled, timed())
+            profiler.enable_profiling()
+            enabled = min(enabled, timed())
         profiler.disable_profiling()
         assert len(profiler.get_profile()) > 0  # spans actually recorded
         assert enabled <= disabled * 1.05 + 2e-3, (

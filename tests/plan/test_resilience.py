@@ -31,9 +31,11 @@ from repro.plan.loadgen import LoadgenConfig, run_loadgen
 from repro.plan.resilience import ServeChaos, parse_chaos
 from repro.plan.service import _Pending
 
+from .test_service import hold_batcher
+
 
 def _service(**overrides):
-    defaults = dict(persist=False, warm=False, batch_window_s=0.002)
+    defaults = dict(persist=False, warm=False)
     defaults.update(overrides)
     return PlanService(ServeConfig(**defaults))
 
@@ -394,22 +396,25 @@ class TestBreakerLifecycle:
         must release the probe slot on abandon — otherwise the breaker
         wedges half-open and every future miss is rejected forever."""
         svc = _service(
-            chaos_spec="off",
+            chaos_spec="fail:1",
             breaker_threshold=1,
             breaker_cooldown_s=0.0,
-            batch_window_s=0.5,
         )
         try:
-            svc.arm_chaos("fail:1")
             with pytest.raises(RuntimeError, match="injected planner"):
                 svc.submit(350, 96, 96)
             assert svc._breaker.state == "open"
-            svc.arm_chaos("off")
-            # Zero cooldown: this miss is the half-open probe.  Its
-            # timeout lapses inside the long batching window, so it is
-            # abandoned while still queued.
-            with pytest.raises(PlanTimeoutError):
-                svc.submit(351, 96, 96, timeout=0.05)
+            # Zero cooldown: the next miss is the half-open probe.  The
+            # batcher is busy, so its timeout lapses while it is still
+            # queued and the waiter abandons it.
+            release = hold_batcher(svc)
+            abandoned0 = get_counter("serve.abandoned")
+            try:
+                with pytest.raises(PlanTimeoutError):
+                    svc.submit(351, 96, 96, timeout=0.05)
+            finally:
+                release.set()
+            assert get_counter("serve.abandoned") == abandoned0 + 1
             assert svc._breaker.state == "half_open"
             # The slot is free again: a fresh probe is admitted and its
             # success recovers the breaker.
@@ -565,7 +570,8 @@ class TestLifecycle:
 
 class TestLoadgenRetries:
     def test_sheds_are_retried_and_reported(self):
-        svc = _service(max_queue_depth=1, batch_window_s=0.05)
+        # Every batch stalls 50 ms, so the depth-1 miss queue stays full.
+        svc = _service(max_queue_depth=1, chaos_spec="stall:0.05")
         try:
             report = run_loadgen(
                 LoadgenConfig(
@@ -596,7 +602,12 @@ class TestLoadgenRetries:
 
 
 def _stub_server(first_reply_delay_s):
-    """A JSONL echo server that delays the very first request only."""
+    """A JSONL echo server that delays the very first request only.
+
+    Returns ``(port, close)``.  ``close`` shuts the listener down before
+    closing it: closing the fd alone does not wake a thread blocked in
+    ``accept()`` on Linux, which would leave the port listening.
+    """
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.bind(("127.0.0.1", 0))
     srv.listen(8)
@@ -626,16 +637,24 @@ def _stub_server(first_reply_delay_s):
                 return
             threading.Thread(target=conn_loop, args=(conn,), daemon=True).start()
 
-    threading.Thread(target=accept_loop, daemon=True).start()
-    return srv
+    acceptor = threading.Thread(target=accept_loop, daemon=True)
+    acceptor.start()
+
+    def close():
+        srv.shutdown(socket.SHUT_RDWR)
+        srv.close()
+        acceptor.join(timeout=5.0)
+        assert not acceptor.is_alive()
+
+    return srv.getsockname()[1], close
 
 
 class TestPlanClientHedging:
     def test_hedge_wins_and_stale_loser_reply_is_skipped(self):
-        srv = _stub_server(first_reply_delay_s=0.6)
+        port, close = _stub_server(first_reply_delay_s=0.6)
         try:
             with PlanClient(
-                "127.0.0.1", srv.getsockname()[1],
+                "127.0.0.1", port,
                 timeout_s=5.0, hedge_ms=60.0,
             ) as client:
                 # First request: the primary connection stalls, the
@@ -654,18 +673,20 @@ class TestPlanClientHedging:
                 assert client.stats["requests"] == 2
                 assert client.stats["failures"] == 0
         finally:
-            srv.close()
+            close()
 
     def test_retries_synthesize_timeout_code_on_dead_server(self):
-        srv = _stub_server(first_reply_delay_s=0.0)
-        host, port = srv.getsockname()
-        srv.close()  # nothing listening anymore
-        with PlanClient(
-            host, port, timeout_s=0.2,
-            retry=RetryPolicy(max_retries=2, base_backoff_s=0.001),
-        ) as client:
-            reply = client.plan(64, 64, 64)
-            assert not reply["ok"]
-            assert reply["code"] == "timeout"
-            assert client.stats["retries"] == 2
-            assert client.stats["failures"] == 1
+        # A bound socket that never listens refuses every connection,
+        # and holding it open keeps the port from being reused.
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as dead:
+            dead.bind(("127.0.0.1", 0))
+            host, port = dead.getsockname()
+            with PlanClient(
+                host, port, timeout_s=0.2,
+                retry=RetryPolicy(max_retries=2, base_backoff_s=0.001),
+            ) as client:
+                reply = client.plan(64, 64, 64)
+                assert not reply["ok"]
+                assert reply["code"] == "timeout"
+                assert client.stats["retries"] == 2
+                assert client.stats["failures"] == 1

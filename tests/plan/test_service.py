@@ -1,6 +1,7 @@
 """PlanService: correctness under concurrency, coalescing, clean shutdown."""
 
 import threading
+import time
 
 import pytest
 
@@ -8,12 +9,49 @@ from repro.errors import ConfigurationError
 from repro.gpu.spec import resolve_gpu
 from repro.obs.counters import get_counter
 from repro.plan import PlanService, ServeConfig, plan_query
+from repro.plan.service import _Pending
 
 
 def _service(**overrides):
-    defaults = dict(persist=False, warm=False, batch_window_s=0.002)
+    defaults = dict(persist=False, warm=False)
     defaults.update(overrides)
     return PlanService(ServeConfig(**defaults))
+
+
+def hold_batcher(svc):
+    """Keep ``svc``'s batcher busy until the returned event is set.
+
+    Queues one already-expired entry and gates ``_run_batch`` on the
+    event, so the batcher has claimed a batch (and records no plan,
+    batch or breaker outcome for it) while the caller queues misses
+    behind it.  Only the first batch is gated.
+    """
+    real_run = svc._run_batch
+    claimed, release = threading.Event(), threading.Event()
+
+    def gated(batch):
+        claimed.set()
+        release.wait(10.0)
+        del svc._run_batch  # later batches run ungated
+        real_run(batch)
+
+    svc._run_batch = gated
+    now = time.perf_counter()
+    wedge = _Pending(
+        svc._binding("fp16_fp32", "a100"), (64, 64, 64), now, deadline_at=now
+    )
+    with svc._cond:
+        svc._queue.append(wedge)
+        svc._cond.notify_all()
+    assert claimed.wait(5.0)
+    return release
+
+
+def wait_for_queue_depth(svc, depth, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while len(svc._queue) < depth:
+        assert time.monotonic() < deadline, "queue never reached %d" % depth
+        time.sleep(0.005)
 
 
 class TestCorrectness:
@@ -49,11 +87,13 @@ class TestCorrectness:
 
 class TestMicroBatching:
     def test_concurrent_misses_coalesce_into_few_batches(self):
-        """24 distinct shapes submitted concurrently must ride far fewer
-        than 24 plan_batch calls — the micro-batching window at work."""
+        """24 distinct shapes submitted concurrently while the planner is
+        busy must ride far fewer than 24 plan_batch calls."""
         shapes = [(256 + 16 * i, 384, 512 + 32 * i) for i in range(24)]
         batches0 = get_counter("serve.batches")
-        with _service(batch_window_s=0.05) as svc:
+        # Whichever miss lands first is planned at once and stalls the
+        # batcher; the rest queue up behind it.
+        with _service(chaos_spec="stall:0.2:1") as svc:
             results = {}
             errors = []
 
@@ -69,7 +109,8 @@ class TestMicroBatching:
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=30.0)
+                assert not t.is_alive()
         assert not errors
         batches = get_counter("serve.batches") - batches0
         assert 1 <= batches <= 6  # 24 queries, a handful of batches
@@ -77,10 +118,55 @@ class TestMicroBatching:
         for shape, plan in results.items():
             assert plan == plan_query(*shape, "fp16_fp32", gpu)
 
+    def test_misses_queued_behind_a_busy_batch_ride_one_batch(self):
+        """Group commit: every miss that queues while a batch is being
+        planned rides the single following batch, and each plan equals
+        the cold scalar query."""
+        shapes = [(320 + 32 * i, 448, 640 + 64 * i) for i in range(6)]
+        with _service() as svc:
+            release = hold_batcher(svc)
+            results = {}
+
+            def worker(shape):
+                results[shape] = svc.submit(*shape)
+
+            threads = [
+                threading.Thread(target=worker, args=(s,)) for s in shapes
+            ]
+            try:
+                for t in threads:
+                    t.start()
+                wait_for_queue_depth(svc, len(shapes))
+            finally:
+                release.set()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+            stats = svc.stats()
+        assert stats["batches"] == 1
+        assert stats["mean_batch_occupancy"] == len(shapes)
+        gpu = resolve_gpu("a100")
+        assert len(results) == len(shapes)
+        for shape, plan in results.items():
+            assert plan.provenance == "model"
+            assert plan == plan_query(*shape, "fp16_fp32", gpu)
+
+    def test_sequential_misses_are_planned_one_per_batch(self):
+        """With nothing else queued there is nothing to wait for: each of
+        N back-to-back misses is its own batch of one."""
+        with _service() as svc:
+            for i in range(5):
+                svc.submit(200 + 8 * i, 256, 384)
+            stats = svc.stats()
+        assert stats["misses"] == 5
+        assert stats["batches"] == 5
+        assert stats["mean_batch_occupancy"] == 1.0
+
     def test_duplicate_inflight_queries_share_one_computation(self):
         shape = (1792, 896, 2048)
         uniq0 = get_counter("serve.unique_shapes")
-        with _service(batch_window_s=0.05) as svc:
+        with _service() as svc:
+            release = hold_batcher(svc)
             plans = []
             threads = [
                 threading.Thread(
@@ -88,14 +174,19 @@ class TestMicroBatching:
                 )
                 for _ in range(8)
             ]
+            try:
+                for t in threads:
+                    t.start()
+                wait_for_queue_depth(svc, 8)
+            finally:
+                release.set()
             for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        assert len(set(plans)) == 1
-        # All 8 waiters resolved, but the planner saw the shape once per
-        # batch it rode in (typically exactly once).
-        assert get_counter("serve.unique_shapes") - uniq0 <= 2
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+        assert len(plans) == 8 and len(set(plans)) == 1
+        # All 8 waiters rode one batch, and the planner priced the shape
+        # once (the held wedge is dropped unplanned).
+        assert get_counter("serve.unique_shapes") - uniq0 == 1
 
     def test_stats_report_shape(self):
         with _service() as svc:

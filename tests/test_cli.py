@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness.parallel import clear_eval_memo
 from repro.obs import counters, profiler
 from repro.obs.export import validate_chrome_trace
 
@@ -120,7 +121,13 @@ class TestObservabilityCommands:
         assert schedule in capsys.readouterr().out
         validate_chrome_trace(json.loads(out_path.read_text()))
 
-    def test_profile_prints_spans_and_counters(self, capsys):
+    def test_profile_prints_spans_and_counters(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Start cold: an earlier evaluation of the same corpus would
+        # answer from the memo and the evaluate_corpus span never opens.
+        clear_eval_memo()
+        monkeypatch.setenv("REPRO_EVAL_CACHE_DIR", str(tmp_path))
         rc = main(["profile", "--size", "120", "--repeat", "2"])
         assert rc == 0
         out = capsys.readouterr().out
