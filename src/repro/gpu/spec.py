@@ -22,17 +22,21 @@ not the datasheet boost peaks); :meth:`GpuSpec.from_json` /
 :meth:`GpuSpec.to_json` so users define custom devices from a file; and
 :func:`resolve_gpu`, which every CLI ``--gpu`` flag routes through to
 accept either a registered preset name or a path to a spec JSON.
-Per-spec calibration caching keys off :func:`repro.model.paramcache.
-gpu_fingerprint`, which hashes every field here — any custom or edited
-spec calibrates (and caches) independently.
+Per-spec calibration and plan caching key off :attr:`GpuSpec.fingerprint`,
+a SHA-256 of every field here computed once at construction (the rate
+table is frozen, so a spec cannot change after it is hashed) — any custom
+or edited spec calibrates (and caches) independently.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -88,7 +92,8 @@ class GpuSpec:
         SM clock.  The paper locks the A100 at 1005 MHz for stability.
     macs_per_sm_per_cycle:
         Map of dtype-config name to multiply-accumulates one SM retires per
-        cycle at 100% utilization.
+        cycle at 100% utilization.  Stored as a read-only copy of the
+        mapping passed in.
     dram_bandwidth:
         Device-memory bandwidth in bytes/s.
     l2_bytes:
@@ -106,12 +111,16 @@ class GpuSpec:
         A kernel with only a few resident CTAs cannot saturate HBM; this is
         what makes single-tile data-parallel schedules slow on real
         hardware and is essential to the strong-scaling comparisons.
+    fingerprint:
+        Derived, not a field: hex SHA-256 of every field's JSON value,
+        computed once in ``__post_init__``.  Calibration files and plan
+        cache shards embed it in their names.
     """
 
     name: str
     num_sms: int
     clock_hz: float
-    macs_per_sm_per_cycle: "dict[str, float]"
+    macs_per_sm_per_cycle: "Mapping[str, float]"
     dram_bandwidth: float
     l2_bytes: int
     l2_line_bytes: int = 128
@@ -138,6 +147,25 @@ class GpuSpec:
                     "MAC rate for dtype %r must be a positive finite number, "
                     "got %r" % (dtype_name, rate)
                 )
+        object.__setattr__(
+            self,
+            "macs_per_sm_per_cycle",
+            MappingProxyType(dict(self.macs_per_sm_per_cycle)),
+        )
+        payload = json.dumps(self._as_dict(), sort_keys=True, default=str)
+        object.__setattr__(
+            self, "fingerprint", hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        )
+
+    def _as_dict(self) -> dict:
+        """Every field by name, with the rate table as a plain dict."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["macs_per_sm_per_cycle"] = dict(self.macs_per_sm_per_cycle)
+        return doc
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle; rebuild from plain field values.
+        return (type(self), tuple(self._as_dict().values()))
 
     # ------------------------------------------------------------------ #
     # Derived rates                                                       #
@@ -208,7 +236,7 @@ class GpuSpec:
         The output round-trips through :meth:`from_json` bit-exactly and is
         the canonical custom-spec file format (docs/HARDWARE.md).
         """
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self._as_dict(), indent=2, sort_keys=True) + "\n"
 
     @classmethod
     def from_json(cls, source: "str | dict") -> "GpuSpec":

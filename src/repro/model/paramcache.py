@@ -32,8 +32,6 @@ to disable the disk layer outright; ``wipe_calibration_cache()`` (or
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 import tempfile
@@ -84,10 +82,11 @@ def gpu_fingerprint(gpu: GpuSpec) -> str:
 
     Any change to the simulated hardware (SM count, clocks, MAC rates,
     bandwidth model, ...) yields a new fingerprint and therefore a cache
-    miss — the invalidation rule for persisted calibrations.
+    miss — the invalidation rule for persisted calibrations.  The hash
+    is computed once, when the spec is built
+    (:attr:`repro.gpu.spec.GpuSpec.fingerprint`).
     """
-    payload = json.dumps(dataclasses.asdict(gpu), sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return gpu.fingerprint
 
 
 def _entry_path(

@@ -15,10 +15,22 @@ This module is the **plan** side of the repo's plan/evaluate split:
   :func:`plan_batch`, and the simulator replays materialized schedules
   event by event to validate the closed forms.
 
-:func:`plan_query` is the scalar entry point; it is implemented as a
-one-row :func:`plan_batch`, so a single query, a micro-batched service
-request, and a 32,824-shape corpus sweep all run the *same* arithmetic
-and produce bitwise-identical plans.
+:func:`plan_batch` is the one planning entry point (:func:`plan_query`
+is a one-row call).  It has two private paths that compute the same
+arithmetic:
+
+* the **row path** (:func:`_plan_rows`) plans each shape with Python
+  ints and floats.  It serves batches of fewer than
+  :data:`_ROW_PATH_MAX_ROWS` rows: a scalar query, a cache fill, and the
+  1–2-row misses the serving batcher plans, where numpy's per-array
+  setup would cost more than the arithmetic;
+* the **vectorized path** (:func:`_plan_vectorized`) plans every larger
+  batch, up to a 32,824-shape corpus sweep, with per-regime masks over
+  whole columns.
+
+The row path repeats the vectorized operations in the same order, so a
+shape gets a bitwise-identical plan whichever path, batch size or row
+position it is planned in.
 
 The regime logic (mirroring :meth:`repro.ensembles.streamk_library.
 StreamKLibrary.plan` and :func:`repro.schedules.hybrid.two_tile_schedule`):
@@ -32,6 +44,7 @@ otherwise                       two-tile Stream-K + DP hybrid, ``g = p``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,15 +90,29 @@ _PIPELINE_STAGES = 2
 #: never scale peak memory with N.
 _WALK_ROW_CHUNK = 8192
 
+#: Batches with fewer rows than this take the row path (:func:`_plan_rows`);
+#: larger ones take the vectorized path (:func:`_plan_vectorized`).  Set at
+#: the measured crossover: 2-vCPU x86 box, Python 3.11, numpy 2.4,
+#: log-uniform a100/fp16_fp32 serving shapes, median of 400 batches per
+#: size, four runs.  Row path vs vectorized: 4 rows 215-322 vs 406-624 us;
+#: 8 rows faster in all four runs (e.g. 484 vs 505 us); 9 rows faster in
+#: two (e.g. 630 vs 632 us); 10 rows slower in three (e.g. 580 vs 539 us).
+_ROW_PATH_MAX_ROWS = 9
+
 
 def _ceil_div(a: np.ndarray, b) -> np.ndarray:
     return -(-a // b)
 
 
-def _split_shapes(shapes: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+def _as_shapes(shapes: np.ndarray) -> np.ndarray:
     shapes = np.asarray(shapes, dtype=np.int64)
     if shapes.ndim != 2 or shapes.shape[1] != 3:
         raise ConfigurationError("shapes must be an (N, 3) array of m, n, k")
+    return shapes
+
+
+def _split_shapes(shapes: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    shapes = _as_shapes(shapes)
     return shapes[:, 0], shapes[:, 1], shapes[:, 2]
 
 
@@ -422,48 +449,236 @@ def _misaligned_boundaries_batch(
 
 
 # --------------------------------------------------------------------- #
+# Row path: the same arithmetic on Python ints and floats               #
+# --------------------------------------------------------------------- #
+#
+# Each helper below repeats one vectorized stage above operation for
+# operation (same operand order, same int -> float conversion points), so
+# its floats are bitwise equal to that stage's column entry.  Where the
+# vectorized stage adds a masked-out 0.0 to a positive cycle count, the row
+# path skips the no-op addition.  They do not reuse the scalar oracles in
+# repro.gpu.analytic, which sum some terms in a different order.
+# tests/plan/test_plan_rows.py pins the parity.
+
+
+def _two_tile_row(
+    t: int, ipt: int, p: int, cost: KernelCostModel
+) -> "tuple[float, float, int]":
+    """One row of :func:`_two_tile_walk_chunk`: (makespan, f, stores)."""
+    c = cost.cycles_per_iter
+    pro = cost.prologue_cycles
+    sp = cost.store_partials_cycles
+    fx = cost.fixup_cycles_per_peer
+    st = cost.store_tile_cycles
+    w = t // p
+    sk_tiles = t - (w - 1) * p
+    base, rem = divmod(sk_tiles * ipt, p)
+    step = c * ipt + st
+    dp_tail = (w - 1) * step
+    makespan = -math.inf
+    stores = 0
+    begin = head = 0  # the first range starts on a tile edge
+    # The first `rem` CTAs own one iteration more than the rest.
+    for share, ctas in ((base + 1, rem), (base, p - rem)):
+        for _ in range(ctas):
+            begin += share
+            head_next = -begin % ipt
+            now = pro + (c * head + sp) if head else pro
+            if head_next:  # the range ends mid-tile: wait for the peer
+                last_part = ipt - head_next
+                now = now + (share - head - last_part) // ipt * step
+                own_end = now + c * last_part
+                peer_signal = pro + c * head_next + sp
+                now = max(own_end, peer_signal) + fx + st
+                stores += 1
+            else:
+                now = now + (share - head) // ipt * step
+            finish = now + dp_tail
+            if finish > makespan:
+                makespan = finish
+            head = head_next
+    aligned_fraction = float((t - sk_tiles) * ipt) / float(t * ipt)
+    return makespan, aligned_fraction, stores
+
+
+def _grid_size_row(
+    total: int, ipt: int, params: StreamKModelParams, max_grid: int
+) -> int:
+    """One row of :func:`repro.model.gridsize.select_grid_sizes_batch`:
+    the A.1 argmin over ``g in [1, min(max_grid, total)]``, smallest ``g``
+    on ties."""
+    a, b, c, d = params.a, params.b, params.c, params.d
+    best_g, best = 1, math.inf
+    for g in range(1, min(max_grid, total) + 1):
+        ipc = -(-total // g)
+        peers = -(-ipt // ipc)
+        time = a + b * (peers > 1) + c * ipc + d * (peers - 1)
+        if time < best:
+            best_g, best = g, time
+    return best_g
+
+
+def _streamk_row(
+    t: int, g: int, ipt: int, cost: KernelCostModel
+) -> "tuple[float, int]":
+    """One row of :func:`repro.gpu.analytic.basic_streamk_makespan_batch`
+    and :func:`_misaligned_boundaries_batch`: (makespan, stores).
+
+    CTAs are walked last to first, so the fixup chain's peers (the CTAs
+    after ``x`` that start inside ``x``'s last tile) are already priced.
+    A boundary off a tile edge is a CTA ``x >= 1`` entering mid-tile.
+    """
+    c = cost.cycles_per_iter
+    pro = cost.prologue_cycles
+    sp = cost.store_partials_cycles
+    fx = cost.fixup_cycles_per_peer
+    st = cost.store_tile_cycles
+    total = t * ipt
+    g_eff = min(g, total)
+    base, rem = divmod(total, g_eff)
+    cut = rem * (base + 1)
+    step = c * ipt + st
+    # sig(y) - y*fx of every mid-tile entrant y, -inf for the rest.
+    val = [-math.inf] * g_eff
+    makespan = -math.inf
+    stores = 0
+    for x in range(g_eff - 1, -1, -1):
+        if x < rem:
+            begin, share = x * (base + 1), base + 1
+        else:
+            begin, share = x * base + rem, base
+        head = -begin % ipt
+        if head:
+            hh = head if head < share else share
+            val[x] = pro + c * hh + sp - fx * x
+            now = pro + (c * hh + sp)
+            if x:
+                stores += 1
+        else:
+            hh = 0
+            now = float(pro)
+        n_full, last_part = divmod(share - hh, ipt)
+        finish = now + n_full * step + c * last_part
+        if last_part:
+            q = begin + hh + (n_full + 1) * ipt - 1  # last iteration of the tile
+            y_last = q // (base + 1) if q < cut else rem + (q - cut) // base
+            win_max = max(val[x + 1:y_last + 1])
+            finish = (
+                max(finish + (y_last - x) * fx, win_max + (y_last + 1) * fx)
+                + st
+            )
+        if finish > makespan:
+            makespan = finish
+    return makespan, stores
+
+
+def _traffic_bytes_row(
+    m: int, n: int, k: int, tiles_m: int, tiles_n: int, g: int,
+    f: float, fixup_stores: int, blocking: Blocking, dtype: DtypeConfig,
+    gpu: GpuSpec,
+) -> float:
+    """One row of :func:`traffic_bytes`."""
+    in_b = dtype.input_bytes
+    out_b = dtype.output_bytes
+    a_pass = float(tiles_m) * blocking.blk_m * k * in_b
+    b_pass = float(tiles_n) * blocking.blk_n * k * in_b
+    usable_l2 = gpu.l2_bytes * _L2_RESIDENCY
+    if a_pass + b_pass <= usable_l2:
+        amp_a = amp_b = 1.0
+    else:
+        w = min(max(g, 1), gpu.total_cta_slots)
+        w_n = min(w, tiles_n)
+        w_m = min(tiles_m, -(-w // tiles_n))
+        working_set = (
+            _PIPELINE_STAGES
+            * (w_m * blocking.blk_m + w_n * blocking.blk_n)
+            * blocking.blk_k
+            * in_b
+        )
+        if working_set > usable_l2:
+            amp_a_aligned, amp_b_aligned = float(tiles_n), float(tiles_m)
+        else:
+            amp_a_aligned, amp_b_aligned = tiles_n / w_n, tiles_m / w_m
+        amp_a_skewed = min(float(tiles_n), 2.0 * amp_a_aligned)
+        amp_b_skewed = min(float(tiles_m), 2.0 * amp_b_aligned)
+        amp_a = f * amp_a_aligned + (1.0 - f) * amp_a_skewed
+        amp_b = f * amp_b_aligned + (1.0 - f) * amp_b_skewed
+    out = float(m) * n * out_b
+    tile_accum = blocking.blk_m * blocking.blk_n * out_b
+    partials = float(fixup_stores) * tile_accum * 2.0
+    return a_pass * amp_a + b_pass * amp_b + out + partials
+
+
+def _plan_rows(
+    shapes: np.ndarray, cost: KernelCostModel, params: StreamKModelParams
+) -> PlanBatch:
+    """Plan each row with Python ints and floats; bitwise equal to
+    :func:`_plan_vectorized` on the same input, and cheaper below
+    :data:`_ROW_PATH_MAX_ROWS` rows."""
+    gpu, blocking, dtype = cost.gpu, cost.blocking, cost.dtype
+    p = gpu.num_sms
+    rows = []  # kind is an index into KIND_NAMES
+    for m, n, k in shapes.tolist():
+        tiles_m = -(-m // blocking.blk_m)
+        tiles_n = -(-n // blocking.blk_n)
+        t = tiles_m * tiles_n
+        ipt = -(-k // blocking.blk_k)
+        if t % p == 0:  # Regime A: data_parallel
+            kind, g, f, stores = 0, min(p, t), 1.0, 0
+            makespan = cost.prologue_cycles + -(-t // g) * (
+                cost.cycles_per_iter * ipt + cost.store_tile_cycles
+            )
+        elif t >= p:  # Regime C: two_tile
+            kind, g = 2, p
+            makespan, f, stores = _two_tile_row(t, ipt, p, cost)
+        else:  # Regime B: basic_stream_k
+            kind = 1
+            g = _grid_size_row(t * ipt, ipt, params, gpu.total_cta_slots)
+            makespan, stores = _streamk_row(t, g, ipt, cost)
+            g = min(g, t * ipt)
+            f = float(stores == 0)
+        traffic = _traffic_bytes_row(
+            m, n, k, tiles_m, tiles_n, g, f, stores, blocking, dtype, gpu
+        )
+        # roofline_time, with gpu.achieved_bandwidth(g) on Python numbers.
+        bandwidth = min(
+            gpu.dram_bandwidth,
+            max(min(g, gpu.total_cta_slots), 1) * gpu.sm_max_bandwidth,
+        )
+        time_s = (
+            max(makespan / gpu.clock_hz, traffic / bandwidth)
+            + gpu.launch_latency_s
+        )
+        rows.append((kind, g, t, ipt, f, stores, makespan, time_s))
+    cols = list(zip(*rows)) or [()] * 8
+    return PlanBatch(
+        shapes=shapes,
+        dtype_name=dtype.name,
+        gpu_name=gpu.name,
+        kinds=np.array(cols[0], dtype=np.int8),
+        g=np.array(cols[1], dtype=np.int64),
+        num_tiles=np.array(cols[2], dtype=np.int64),
+        iters_per_tile=np.array(cols[3], dtype=np.int64),
+        k_aligned_fraction=np.array(cols[4], dtype=np.float64),
+        fixup_stores=np.array(cols[5], dtype=np.int64),
+        makespan_cycles=np.array(cols[6], dtype=np.float64),
+        time_s=np.array(cols[7], dtype=np.float64),
+        engine_version=PLAN_ENGINE_VERSION,
+        gpu_fingerprint=gpu_fingerprint(gpu),
+    )
+
+
+# --------------------------------------------------------------------- #
 # Batched planning                                                      #
 # --------------------------------------------------------------------- #
 
 
-def plan_batch(
-    shapes: np.ndarray,
-    dtype: DtypeConfig,
-    gpu: GpuSpec,
-    params: "StreamKModelParams | None" = None,
-    blocking: "Blocking | None" = None,
+def _plan_vectorized(
+    shapes: np.ndarray, cost: KernelCostModel, params: StreamKModelParams
 ) -> PlanBatch:
-    """Plan every shape in one vectorized pass; no per-problem loops.
-
-    This is *the* planning implementation: :func:`plan_query` is a
-    one-row call, the serving micro-batcher coalesces concurrent
-    requests into one call, and corpus sweeps
-    (:func:`repro.harness.vectorized.streamk_times`) pass the whole
-    corpus.  Per-regime work runs through the batched Appendix A.1
-    argmin (:func:`repro.model.gridsize.select_grid_sizes_batch`), the
-    batched exact walk
-    (:func:`repro.gpu.analytic.basic_streamk_makespan_batch`), and the
-    vectorized two-tile walk, each cross-validated element-for-element
-    against its scalar twin.
-
-    Parameters
-    ----------
-    shapes:
-        ``(N, 3)`` integer array of ``(m, n, k)`` rows.
-    dtype, gpu:
-        Precision config and target GPU spec.
-    params:
-        Calibrated model constants; resolved through the persistent
-        calibration cache when omitted.
-    blocking:
-        Tile blocking; defaults to the precision's shipped factor.
-    """
-    m, n, k = _split_shapes(shapes)
-    if blocking is None:
-        blocking = Blocking(*dtype.default_blocking)
-    cost = KernelCostModel(gpu=gpu, blocking=blocking, dtype=dtype)
-    if params is None:
-        params = calibrate_cached(gpu, blocking, dtype)
+    """Plan every row in one numpy pass over per-regime masks."""
+    gpu, blocking, dtype = cost.gpu, cost.blocking, cost.dtype
+    m, n, k = shapes[:, 0], shapes[:, 1], shapes[:, 2]
     p = gpu.num_sms
 
     tiles_m = _ceil_div(m, blocking.blk_m)
@@ -528,7 +743,7 @@ def plan_batch(
     time_s = roofline_time(makespan, traffic, g_arr, gpu)
 
     return PlanBatch(
-        shapes=np.asarray(shapes, dtype=np.int64),
+        shapes=shapes,
         dtype_name=dtype.name,
         gpu_name=gpu.name,
         kinds=kinds,
@@ -544,6 +759,54 @@ def plan_batch(
     )
 
 
+def plan_batch(
+    shapes: np.ndarray,
+    dtype: DtypeConfig,
+    gpu: GpuSpec,
+    params: "StreamKModelParams | None" = None,
+    blocking: "Blocking | None" = None,
+) -> PlanBatch:
+    """Plan every shape; small batches row by row, large ones vectorized.
+
+    This is *the* planning entry point: :func:`plan_query` is a one-row
+    call, the serving micro-batcher coalesces concurrent misses into one
+    call, and corpus sweeps (:func:`repro.harness.vectorized.
+    streamk_times`) pass the whole corpus.  Batches of fewer than
+    :data:`_ROW_PATH_MAX_ROWS` rows run the row path, which plans each
+    shape with Python ints and floats and skips numpy's per-array setup;
+    larger batches run the vectorized path: the batched Appendix A.1
+    argmin (:func:`repro.model.gridsize.select_grid_sizes_batch`), the
+    batched exact walk
+    (:func:`repro.gpu.analytic.basic_streamk_makespan_batch`), and the
+    vectorized two-tile walk.  The row path repeats the vectorized
+    arithmetic operation for operation, so both return bitwise-identical
+    columns for any input.
+
+    Parameters
+    ----------
+    shapes:
+        ``(N, 3)`` array of positive ``(m, n, k)`` rows.
+    dtype, gpu:
+        Precision config and target GPU spec.
+    params:
+        Calibrated model constants; resolved through the persistent
+        calibration cache when omitted.
+    blocking:
+        Tile blocking; defaults to the precision's shipped factor.
+    """
+    shapes = _as_shapes(shapes)
+    if (shapes <= 0).any():
+        raise ConfigurationError("problem dimensions must be positive")
+    if blocking is None:
+        blocking = Blocking(*dtype.default_blocking)
+    cost = KernelCostModel(gpu=gpu, blocking=blocking, dtype=dtype)
+    if params is None:
+        params = calibrate_cached(gpu, blocking, dtype)
+    if len(shapes) < _ROW_PATH_MAX_ROWS:
+        return _plan_rows(shapes, cost, params)
+    return _plan_vectorized(shapes, cost, params)
+
+
 def plan_query(
     m: int,
     n: int,
@@ -555,7 +818,7 @@ def plan_query(
 ) -> Plan:
     """Plan one ``(m, n, k, dtype, gpu)`` query.
 
-    Implemented as a one-row :func:`plan_batch`, so a scalar query is
+    A one-row :func:`plan_batch`, so it runs the row path, which is
     bitwise-identical to the same row of any batched call — the
     invariant the plan-cache differential suite pins down.
     """

@@ -71,6 +71,44 @@ class TestInvalidation:
         renamed = dataclasses.replace(HYPOTHETICAL_4SM, name="other")
         assert gpu_fingerprint(renamed) != fp
 
+    def test_a100_fingerprint_is_pinned(self):
+        # Calibration files and plan-cache shards embed this digest in
+        # their names; computing it once per spec must not change it.
+        from repro.gpu.spec import A100
+
+        assert gpu_fingerprint(A100) == (
+            "a4b3c65c1ad3c281000fec62ad40fa419faaa1adb66f17259b6dce1e4971df22"
+        )
+
+    def test_fingerprint_survives_copies_and_round_trips(self):
+        import copy
+        import pickle
+
+        from repro.gpu.spec import A100, GpuSpec
+
+        for spec in (A100, A100.with_sms(54)):
+            for twin in (
+                GpuSpec.from_json(spec.to_json()),
+                pickle.loads(pickle.dumps(spec)),
+                copy.deepcopy(spec),
+                dataclasses.replace(spec),
+            ):
+                assert twin == spec
+                assert twin.to_json() == spec.to_json()
+                assert gpu_fingerprint(twin) == gpu_fingerprint(spec)
+
+    def test_rate_table_is_frozen(self):
+        from repro.gpu.spec import A100
+
+        with pytest.raises(TypeError):
+            A100.macs_per_sm_per_cycle["fp64"] = 1.0
+        rates = {"fp64": 4.0}
+        spec = dataclasses.replace(HYPOTHETICAL_4SM, macs_per_sm_per_cycle=rates)
+        before = gpu_fingerprint(spec)
+        rates["fp64"] = 8.0  # the spec holds its own copy
+        assert spec.macs_per_sm_per_cycle["fp64"] == 4.0
+        assert gpu_fingerprint(spec) == before
+
     def test_stale_fingerprint_misses(self, tmp_path):
         params = calibrate(HYPOTHETICAL_4SM, BLOCKING, FP64)
         path = store_params(params, HYPOTHETICAL_4SM, cache_dir=str(tmp_path))

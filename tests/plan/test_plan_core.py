@@ -109,6 +109,13 @@ class TestPlanRecord:
         with pytest.raises(ConfigurationError):
             plan_query(0, 128, 128, FP16_FP32, resolve_gpu("a100"))
 
+    @pytest.mark.parametrize("rows", [1, 64])  # row path, vectorized path
+    def test_batch_rejects_nonpositive_dimensions(self, rows):
+        shapes = np.full((rows, 3), 128, dtype=np.int64)
+        shapes[-1, 2] = 0
+        with pytest.raises(ConfigurationError):
+            plan_batch(shapes, FP16_FP32, resolve_gpu("a100"))
+
     def test_rejects_malformed_shapes(self):
         with pytest.raises(ConfigurationError):
             plan_batch(
