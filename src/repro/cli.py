@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--idle-timeout-s", type=float, default=30.0, metavar="S",
-        help="disconnect a client whose connection is idle (no request "
-        "line) for S seconds, freeing its handler thread (default 30)",
+        help="disconnect a client whose connection is idle (nothing "
+        "received or sent, no plan pending) for S seconds (default 30)",
     )
     p.add_argument(
         "--max-queue-depth", type=int, default=1024, metavar="N",

@@ -48,7 +48,7 @@ rates uniformly.  Counters wired in by this PR:
 ``serve.chaos_injected``                planner chaos activations (seam)
 ``serve.oversized_line``                request lines over max_line_bytes
 ``serve.idle_disconnects``              idle connections reaped
-``serve.stop_timeout``                  accept loop failed to stop in time
+``serve.stop_timeout``                  event loop failed to stop in time
 ``bloom.insert|delete``                 counting-filter membership writes
 ``bloom.query_hit|query_miss``          counting-filter probe outcomes
 ``bloom.saturated``                     counters stuck at the ceiling

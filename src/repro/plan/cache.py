@@ -77,8 +77,10 @@ class PlanCache:
     Tier 1 is an :class:`~collections.OrderedDict` LRU keyed on
     ``(m, n, k)``; tier 2 is one JSON shard on disk, loaded wholesale at
     construction and rewritten by :meth:`flush`.  All methods are
-    thread-safe (the serving daemon hits :meth:`get` from client threads
-    while the batcher thread calls :meth:`put`).
+    thread-safe (the serving daemon calls :meth:`get` from its event
+    loop while the batcher thread calls :meth:`put`).  The hot tier
+    holds plans already stamped ``provenance="cache:hot"``, so a hot hit
+    returns the stored (frozen) plan without copying it.
 
     Plans returned from the cache are bitwise-identical to a cold
     :func:`~repro.plan.core.plan_query` — only the ``provenance`` field
@@ -143,7 +145,7 @@ class PlanCache:
             if plan is not None:
                 self._hot.move_to_end(key)
                 inc_counter("plancache.hot_hit")
-                return dataclasses.replace(plan, provenance="cache:hot")
+                return plan  # stamped "cache:hot" on insert; Plan is frozen
             plan = self._disk.get(key)
             if plan is not None:
                 self._insert(key, plan)
@@ -165,7 +167,7 @@ class PlanCache:
             self._dirty = True
 
     def _insert(self, key, plan: Plan) -> None:
-        self._hot[key] = dataclasses.replace(plan, provenance="model")
+        self._hot[key] = dataclasses.replace(plan, provenance="cache:hot")
         self._hot.move_to_end(key)
         while len(self._hot) > self.capacity:
             self._hot.popitem(last=False)
@@ -248,7 +250,12 @@ class PlanCache:
                 "gpu_fingerprint": self.fingerprint,
                 "gpu_name": self.gpu.name,
                 "dtype": self.dtype.name,
-                "plans": [plan.to_payload() for _, plan in keep],
+                # Shards record how the plan was made, not the tier it
+                # was last served from.
+                "plans": [
+                    dict(plan.to_payload(), provenance="model")
+                    for _, plan in keep
+                ],
             }
         path = self.shard_path()
         try:

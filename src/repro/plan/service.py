@@ -5,9 +5,12 @@
 loadgen``'s in-process mode.  It implements the serving contract of
 ``docs/SERVING.md``:
 
-* **Hit path** — :meth:`submit` resolves cache hits synchronously on the
+* **Hit path** — :meth:`begin` resolves cache hits synchronously on the
   calling thread (one LRU lookup, no queueing), which is why hit latency
-  is microseconds and independent of miss batching.
+  is microseconds and independent of miss batching.  A miss comes back
+  from :meth:`begin` as an enqueued pending entry; the blocking
+  :meth:`submit` is :meth:`begin` plus :meth:`wait`, while the socket
+  front end passes a completion callback instead of blocking.
 * **Miss path** — misses are enqueued to a single batcher thread that
   batches by group commit: whenever it is free it takes everything
   queued (up to ``max_batch``) and plans it at once, so a lone miss is
@@ -54,6 +57,10 @@ The service is **overload-resilient by construction**
   flushes in-flight work, and :meth:`stats`/:meth:`health` keep
   answering (``state`` field) all the way through :meth:`close`.
 
+Latency percentiles in :meth:`stats` cover the last
+:data:`LATENCY_WINDOW` hits and misses; request, hit, batch and
+occupancy totals are exact integers over the service's lifetime.
+
 Counters (:mod:`repro.obs.counters`): ``serve.requests``,
 ``serve.cache_hit`` / ``serve.cache_miss`` (the pair behind
 ``hit_rate("serve.cache")``), ``serve.adaptive_hit`` /
@@ -71,6 +78,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,6 +106,12 @@ __all__ = ["ServeConfig", "PlanService", "DEFAULT_DTYPE_NAME"]
 
 #: Serving default precision (matches the CLI's ``--dtype`` default).
 DEFAULT_DTYPE_NAME = "fp16_fp32"
+
+#: How many of the latest hit latencies, and of the latest miss
+#: latencies, :meth:`PlanService.stats` takes percentiles over.  Bounds
+#: the ledgers' memory and keeps a ``stats`` call to a few milliseconds
+#: however long the daemon runs.
+LATENCY_WINDOW = 65536
 
 
 @dataclass(frozen=True)
@@ -157,11 +171,16 @@ class ServeConfig:
 
 
 class _Pending:
-    """One in-flight miss: a waiter slot resolved by the batcher."""
+    """One in-flight miss: a waiter slot resolved by the batcher.
+
+    The batcher resolves it by setting ``plan`` or ``error`` and calling
+    :meth:`settle`, which runs ``on_done(pending)`` when a completion
+    callback was given and sets ``event`` otherwise.
+    """
 
     __slots__ = (
-        "key", "binding", "event", "plan", "error", "enqueued_at",
-        "deadline_at", "probe",
+        "key", "binding", "event", "on_done", "plan", "error",
+        "enqueued_at", "deadline_at", "probe",
     )
 
     def __init__(
@@ -171,10 +190,12 @@ class _Pending:
         enqueued_at: float,
         deadline_at: "float | None" = None,
         probe: bool = False,
+        on_done=None,
     ):
         self.binding = binding
         self.key = key
-        self.event = threading.Event()
+        self.on_done = on_done
+        self.event = threading.Event() if on_done is None else None
         self.plan: "Plan | None" = None
         self.error: "BaseException | None" = None
         self.enqueued_at = enqueued_at
@@ -185,6 +206,12 @@ class _Pending:
         #: any path that drops it unplanned must release the slot
         #: (``CircuitBreaker.cancel_probe``) or the breaker wedges.
         self.probe = probe
+
+    def settle(self) -> None:
+        if self.on_done is None:
+            self.event.set()
+        else:
+            self.on_done(self)
 
 
 class _Binding:
@@ -258,11 +285,15 @@ class PlanService:
         # non-None spec (even "off") authorizes runtime re-arming.
         self.chaos_allowed = self.config.chaos_spec is not None
         self._chaos = parse_chaos(self.config.chaos_spec)
-        # Latency ledgers (seconds), split by cache outcome.
+        # Latency ledgers (seconds, the last LATENCY_WINDOW of each) and
+        # exact lifetime totals, split by cache outcome.
         self._stats_lock = threading.Lock()
-        self._hit_lat: "list[float]" = []
-        self._miss_lat: "list[float]" = []
-        self._batch_sizes: "list[int]" = []
+        self._hit_lat: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
+        self._miss_lat: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
+        self._hits = 0
+        self._misses = 0
+        self._batches = 0
+        self._batched = 0
         self._max_queue_depth = 0
         self._requests_total = 0
         self._shed = 0
@@ -322,6 +353,30 @@ class PlanService:
         :class:`PlanTimeoutError` when the budget or ``timeout``
         lapses, :class:`DrainingError` once :meth:`drain` has begun.
         """
+        result = self.begin(m, n, k, dtype, gpu, deadline_ms)
+        if isinstance(result, Plan):
+            return result
+        return self.wait(result, timeout)
+
+    def begin(
+        self,
+        m: int,
+        n: int,
+        k: int,
+        dtype: "DtypeConfig | str" = DEFAULT_DTYPE_NAME,
+        gpu: "GpuSpec | str" = DEFAULT_GPU_NAME,
+        deadline_ms: "float | None" = None,
+        on_done=None,
+    ) -> "Plan | _Pending":
+        """The non-blocking half of :meth:`submit`.
+
+        Returns the plan on a hit.  On a miss, returns the enqueued
+        pending entry.  With ``on_done``, the batcher later calls
+        ``on_done(pending)`` on its own thread, holding no service lock,
+        and :meth:`result` then gives the plan or raises the error;
+        without it, pass the entry to :meth:`wait`.  Rejections raise
+        here, exactly as from :meth:`submit`.
+        """
         if self._draining or self._stop:
             inc_counter("serve.draining_rejected")
             with self._stats_lock:
@@ -350,16 +405,12 @@ class PlanService:
                 plan = binding.adaptive.probe_plan(m, n, k)
             if plan is not None:
                 inc_counter("serve.adaptive_hit")
-                inc_counter("serve.cache_hit")
-                with self._stats_lock:
-                    self._hit_lat.append(time.perf_counter() - t0)
+                self._record_hit(t0)
                 return plan
             inc_counter("serve.adaptive_miss")
         plan = binding.cache.get(m, n, k)
         if plan is not None:
-            inc_counter("serve.cache_hit")
-            with self._stats_lock:
-                self._hit_lat.append(time.perf_counter() - t0)
+            self._record_hit(t0)
             return plan
 
         inc_counter("serve.cache_miss")
@@ -379,7 +430,8 @@ class PlanService:
         is_probe = self._breaker.state == "half_open"
         deadline_at = t0 + deadline_ms / 1e3 if deadline_ms is not None else None
         pending = _Pending(
-            binding, (int(m), int(n), int(k)), t0, deadline_at, probe=is_probe
+            binding, (int(m), int(n), int(k)), t0, deadline_at,
+            probe=is_probe, on_done=on_done,
         )
         with self._cond:
             if self._draining:
@@ -408,29 +460,58 @@ class PlanService:
             self._cond.notify_all()
         with self._stats_lock:
             self._max_queue_depth = max(self._max_queue_depth, depth)
+        return pending
+
+    def _record_hit(self, t0: float) -> None:
+        inc_counter("serve.cache_hit")
+        with self._stats_lock:
+            self._hits += 1
+            self._hit_lat.append(time.perf_counter() - t0)
+
+    def wait(self, pending: _Pending, timeout: "float | None" = 30.0) -> Plan:
+        """Block until the batcher settles a miss from :meth:`begin`
+        (one begun without ``on_done``), at most ``timeout`` seconds and
+        never past its deadline; see :meth:`submit` for the errors."""
         wait_s = timeout
-        if deadline_at is not None:
-            remaining = deadline_at - time.perf_counter()
+        if pending.deadline_at is not None:
+            remaining = pending.deadline_at - time.perf_counter()
             wait_s = remaining if wait_s is None else min(wait_s, remaining)
         if not pending.event.wait(max(wait_s, 0.0) if wait_s is not None else None):
-            # Remove the orphan so the batcher never plans work nobody
-            # will read (and it stops consuming a batch slot).
-            self._abandon(pending)
-            if deadline_at is not None and time.perf_counter() >= deadline_at:
-                raise DeadlineExpiredError(
-                    "deadline of %.1f ms expired before a plan was ready"
-                    % deadline_ms
-                )
-            raise PlanTimeoutError(
-                "plan request timed out after %.1fs (batcher stalled?)"
-                % (timeout or 0.0)
-            )
+            raise self.expire(pending, timeout)
+        return self.result(pending)
+
+    def result(self, pending: _Pending) -> Plan:
+        """The plan of a settled miss; raises the batch's error instead
+        if it failed or was dropped."""
         if pending.error is not None:
             raise pending.error
         with self._stats_lock:
-            self._miss_lat.append(time.perf_counter() - t0)
+            self._misses += 1
+            self._miss_lat.append(time.perf_counter() - pending.enqueued_at)
         assert pending.plan is not None
         return pending.plan
+
+    def expire(
+        self, pending: _Pending, timeout: "float | None" = 30.0
+    ) -> Exception:
+        """Give up on a miss whose wait lapsed and return the error to
+        report: :class:`DeadlineExpiredError` once its deadline has
+        passed, else :class:`PlanTimeoutError` for ``timeout``.
+
+        The entry leaves the queue if the batcher has not claimed it
+        yet (:meth:`_abandon`), so nobody plans work nobody will read.
+        """
+        self._abandon(pending)
+        deadline_at = pending.deadline_at
+        if deadline_at is not None and time.perf_counter() >= deadline_at:
+            return DeadlineExpiredError(
+                "deadline of %.1f ms expired before a plan was ready"
+                % ((deadline_at - pending.enqueued_at) * 1e3)
+            )
+        return PlanTimeoutError(
+            "plan request timed out after %.1fs (batcher stalled?)"
+            % (timeout or 0.0)
+        )
 
     def _abandon(self, pending: _Pending) -> bool:
         """Remove a timed-out waiter's entry from the miss queue.
@@ -490,13 +571,14 @@ class PlanService:
                 pending.error = DeadlineExpiredError(
                     "deadline expired while queued; dropped before planning"
                 )
-                pending.event.set()
+                pending.settle()
             else:
                 live.append(pending)
         if not live:
             return
         with self._stats_lock:
-            self._batch_sizes.append(len(live))
+            self._batches += 1
+            self._batched += len(live)
         inc_counter("serve.batches")
         inc_counter("serve.batched_queries", len(live))
         # Group by binding, then price each group's unique shapes in ONE
@@ -513,7 +595,7 @@ class PlanService:
                     self._breaker.record_failure()
                     for pending in live:
                         pending.error = exc
-                        pending.event.set()
+                        pending.settle()
                     return
             for members in groups.values():
                 binding = members[0].binding
@@ -533,15 +615,17 @@ class PlanService:
                         if binding.adaptive is not None:
                             with binding.adaptive_lock:
                                 binding.adaptive.remember_plan(plan)
-                    for pending in members:
-                        pending.plan = by_key[pending.key]
-                        pending.event.set()
-                    self._breaker.record_success()
                 except BaseException as exc:  # propagate to every waiter
                     self._breaker.record_failure()
                     for pending in members:
                         pending.error = exc
-                        pending.event.set()
+                        pending.settle()
+                    continue
+                # The breaker sees the outcome before any waiter does.
+                self._breaker.record_success()
+                for pending in members:
+                    pending.plan = by_key[pending.key]
+                    pending.settle()
 
     # ------------------------------------------------------------------ #
     # Introspection / shutdown                                            #
@@ -567,26 +651,30 @@ class PlanService:
         ``"state": "closed"`` instead of touching it.
         """
 
-        def pct_us(values, q):
-            return float(np.percentile(values, q)) * 1e6 if values else None
+        def p50_p99_us(window):
+            if not window:
+                return None, None
+            p50, p99 = np.percentile(window, (50, 99)) * 1e6
+            return float(p50), float(p99)
 
         with self._stats_lock:
-            hits, misses = list(self._hit_lat), list(self._miss_lat)
-            sizes = list(self._batch_sizes)
+            hit_window, miss_window = list(self._hit_lat), list(self._miss_lat)
+            hits, misses = self._hits, self._misses
+            batches, batched = self._batches, self._batched
             depth = self._max_queue_depth
+        hit_p50, hit_p99 = p50_p99_us(hit_window)
+        miss_p50, miss_p99 = p50_p99_us(miss_window)
         batcher = getattr(self, "_batcher", None)
-        requests = len(hits) + len(misses)
+        requests = hits + misses
         return {
             "state": self._state(),
             "batcher_alive": bool(batcher is not None and batcher.is_alive()),
             "requests": requests,
-            "hits": len(hits),
-            "misses": len(misses),
-            "hit_rate": (len(hits) / requests) if requests else None,
-            "batches": len(sizes),
-            "mean_batch_occupancy": (
-                float(np.mean(sizes)) if sizes else None
-            ),
+            "hits": hits,
+            "misses": misses,
+            "hit_rate": (hits / requests) if requests else None,
+            "batches": batches,
+            "mean_batch_occupancy": (batched / batches) if batches else None,
             "max_queue_depth": depth,
             "queue_depth": len(self._queue),
             "breaker": self._breaker.state,
@@ -594,10 +682,10 @@ class PlanService:
             "deadline_expired": self._deadline_expired,
             "abandoned": self._abandoned,
             "degraded_rejects": self._degraded_rejects,
-            "hit_p50_us": pct_us(hits, 50),
-            "hit_p99_us": pct_us(hits, 99),
-            "miss_p50_us": pct_us(misses, 50),
-            "miss_p99_us": pct_us(misses, 99),
+            "hit_p50_us": hit_p50,
+            "hit_p99_us": hit_p99,
+            "miss_p50_us": miss_p50,
+            "miss_p99_us": miss_p99,
             "uptime_s": time.perf_counter() - self._started_at,
             "bindings": sorted(
                 "%s@%s" % (b.dtype.name, b.gpu.name)

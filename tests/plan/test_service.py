@@ -200,6 +200,66 @@ class TestMicroBatching:
         assert stats["miss_p99_us"] > 0
         assert stats["bindings"] == ["fp16_fp32@a100"]
 
+    def test_latency_window_bounded_totals_exact(self, monkeypatch):
+        """Percentiles cover the last LATENCY_WINDOW samples; request,
+        hit and batch totals keep counting past it."""
+        from repro.plan import service as service_mod
+
+        monkeypatch.setattr(service_mod, "LATENCY_WINDOW", 4)
+        with _service() as svc:
+            for _ in range(10):
+                svc.submit(512, 512, 512)
+            stats = svc.stats()
+            assert len(svc._hit_lat) == 4
+        assert stats["requests"] == 10
+        assert stats["hits"] == 9 and stats["misses"] == 1
+        assert stats["batches"] == 1 and stats["mean_batch_occupancy"] == 1.0
+        assert stats["hit_p50_us"] > 0
+
+
+class TestBeginWait:
+    """The non-blocking split of submit() the socket front end uses."""
+
+    def test_hit_returns_plan_miss_calls_back_on_batcher(self):
+        with _service() as svc:
+            done = threading.Event()
+            seen = []
+
+            def on_done(pending):
+                seen.append(threading.current_thread().name)
+                done.set()
+
+            pending = svc.begin(512, 512, 512, on_done=on_done)
+            assert isinstance(pending, _Pending)
+            assert done.wait(10.0)
+            assert seen == ["plan-batcher"]
+            plan = svc.result(pending)
+            assert plan.provenance == "model"
+            assert plan == plan_query(512, 512, 512, "fp16_fp32",
+                                      resolve_gpu("a100"))
+            hit = svc.begin(512, 512, 512, on_done=on_done)
+            assert hit.provenance == "cache:hot" and hit == plan
+            assert len(seen) == 1  # hits never call back
+            stats = svc.stats()
+        assert stats["hits"] == 1 and stats["misses"] == 1
+
+    def test_expire_pulls_queued_entry_and_names_the_deadline(self):
+        svc = _service()
+        release = hold_batcher(svc)
+        try:
+            pending = svc.begin(640, 384, 96, deadline_ms=1.0,
+                                on_done=lambda p: None)
+            time.sleep(0.01)
+            abandoned0 = get_counter("serve.abandoned")
+            err = svc.expire(pending)
+            assert err.code == "deadline_expired"
+            assert get_counter("serve.abandoned") == abandoned0 + 1
+            with svc._cond:
+                assert pending not in svc._queue
+        finally:
+            release.set()
+            svc.close()
+
 
 class TestShutdown:
     def test_submit_after_close_raises(self):
