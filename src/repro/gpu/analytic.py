@@ -35,16 +35,22 @@ __all__ = [
     "one_wave_makespan",
     "two_tile_hybrid_makespan",
     "two_tile_hybrid_makespan_batch",
+    "two_tile_walk_batch",
     "dp_one_tile_hybrid_makespan",
     "dp_one_tile_hybrid_makespan_batch",
     "basic_streamk_makespan",
     "basic_streamk_makespan_batch",
+    "basic_streamk_walk_batch",
 ]
 
-#: Row-chunk size for the batched Stream-K walk: bounds the transient
-#: (rows, g_max) matrices (plus the log2(g_max)-level sparse max table) to a
-#: few tens of MB regardless of corpus size.
-_BATCH_ROW_CHUNK = 4096
+#: Row-chunk size for the batched Stream-K and two-tile walks.  It bounds
+#: their transient (rows, g_max + 1) matrices regardless of corpus size, and
+#: is small enough that a chunk's matrices stay in a core's L2 cache: on a
+#: 2-vCPU Xeon (2 MiB L2 per core, numpy 2.4), walking one seeded paper
+#: corpus for 15 preset (GPU, dtype) bindings (235k Stream-K rows, 248k
+#: two-tile rows) took 1.34 s + 0.99 s at 512 rows per chunk, against
+#: 1.72 s + 1.20 s at 128 and 2.48 s + 1.33 s at 4096.
+_BATCH_ROW_CHUNK = 512
 
 
 def data_parallel_makespan(
@@ -240,44 +246,78 @@ def basic_streamk_makespan_batch(
 ) -> np.ndarray:
     """Vectorized :func:`basic_streamk_makespan` over N independent problems.
 
-    Replays the same balanced-partition walk, but broadcast over an
-    ``(rows, g_max)`` CTA grid per fixed-size row chunk:
+    The makespan column of :func:`basic_streamk_walk_batch`; see there for
+    the walk.  Element-for-element agreement with the scalar walk (and
+    therefore with the discrete-event executor) is asserted in the test
+    suite; the only difference is float summation order over a CTA's
+    owned-tile run, which is bounded well below 1e-12 relative.
+    """
+    return basic_streamk_walk_batch(t, g, ipt, cost, row_chunk)[0]
+
+
+def basic_streamk_walk_batch(
+    t: np.ndarray,
+    g: np.ndarray,
+    ipt: np.ndarray,
+    cost: KernelCostModel,
+    row_chunk: int = _BATCH_ROW_CHUNK,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Basic Stream-K over N problems: ``(makespan, fixup_stores)``.
+
+    Replays the balanced-partition walk of :func:`basic_streamk_makespan`,
+    broadcast over a ``(rows, g)`` CTA grid per row chunk:
 
     * head contribution + partial-store signal per CTA;
     * the run of fully-owned tiles;
-    * for a CTA whose range ends mid-tile, the serial fixup chain
-      ``now = max(now, sig(y)) + fx`` over every peer ``y`` whose range
-      starts inside that tile.  The chain unrolls to
-      ``max(own_end + J*fx, max_y (sig(y) - y*fx) + (Y+1)*fx)`` — a range
-      maximum over the contiguous peer window ``[x+1, Y]`` answered with a
-      sparse (doubling) max table, O(g log g) instead of O(g^2).
+    * for a CTA ``x`` whose range ends mid-tile, the serial fixup chain
+      ``now = max(now, sig(y)) + fx`` over its peers ``y = x+1 .. Y``, the
+      CTAs whose ranges start inside that tile.  The chain unrolls to
+      ``max(own_end + J*fx, max_y (sig(y) - y*fx) + (Y+1)*fx)``.
 
-    Element-for-element agreement with the scalar walk (and therefore with
-    the discrete-event executor) is asserted in the test suite; the only
-    difference is float summation order over a CTA's owned-tile run, which
-    is bounded well below 1e-12 relative.
+    The window maximum is its first element, ``sig(x+1) - (x+1)*fx``.
+    Every peer starts strictly inside ``x``'s last tile, so along the
+    window the head ``tile_end - begin(y)`` strictly decreases and the
+    share does not increase; ``sig(y) = pro + c*min(head, share) + sp``
+    therefore does not increase, and ``sig(y) - y*fx`` decreases or stays
+    equal.  That holds in floating point too, because every rounded
+    operation is monotone, *provided* ``c``, ``pro``, ``sp`` and ``fx`` are
+    non-negative — which :class:`KernelCostModel` guarantees, deriving each
+    as a quotient of positive sizes and rates.  The chain costs one column
+    shift, O(g) per row.
+
+    Rows are walked in order of their effective grid size
+    ``min(g, t*ipt)`` (a stable sort), so each chunk is padded only to
+    the largest grid among rows of similar size; results are scattered
+    back to input order.  ``fixup_stores`` counts the CTAs ``x >= 1`` that
+    enter their range mid-tile, i.e. the interior partition boundaries off
+    a tile edge: each stores one partial-sum tile for its owner to fix up.
     """
     t = np.asarray(t, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
     ipt = np.asarray(ipt, dtype=np.int64)
     if not (t.shape == g.shape == ipt.shape) or t.ndim != 1:
         raise ConfigurationError("t, g, ipt must be equal-length 1-D arrays")
+    makespan = np.empty(t.shape[0], dtype=np.float64)
+    stores = np.empty(t.shape[0], dtype=np.int64)
     if t.size == 0:
-        return np.empty(0, dtype=np.float64)
+        return makespan, stores
     if np.any(t <= 0) or np.any(g <= 0) or np.any(ipt <= 0):
         raise ConfigurationError("t, g, ipt must be positive")
 
-    out = np.empty(t.shape[0], dtype=np.float64)
-    for lo in range(0, t.shape[0], max(1, row_chunk)):
-        sl = slice(lo, min(lo + max(1, row_chunk), t.shape[0]))
-        out[sl] = _streamk_walk_chunk(t[sl], g[sl], ipt[sl], cost)
-    return out
+    order = np.argsort(np.minimum(g, t * ipt), kind="stable")
+    step = max(1, row_chunk)
+    for lo in range(0, t.shape[0], step):
+        rows = order[lo:lo + step]
+        makespan[rows], stores[rows] = _streamk_walk_chunk(
+            t[rows], g[rows], ipt[rows], cost
+        )
+    return makespan, stores
 
 
 def _streamk_walk_chunk(
     t: np.ndarray, g: np.ndarray, ipt: np.ndarray, cost: KernelCostModel
-) -> np.ndarray:
-    """One row chunk of :func:`basic_streamk_makespan_batch`."""
+) -> "tuple[np.ndarray, np.ndarray]":
+    """One row chunk of :func:`basic_streamk_walk_batch`."""
     c = cost.cycles_per_iter
     pro = cost.prologue_cycles
     sp = cost.store_partials_cycles
@@ -327,48 +367,18 @@ def _streamk_walk_chunk(
     y_last = np.where(q < cut, q // (base + 1), rem + (q - cut) // base)
     peers = np.where(use_fix, y_last - x[:, :-1], 0)  # J >= 1 where used
 
-    # Range max of sig(y) - y*fx over the contiguous window [x+1, y_last].
-    val = np.where(valid & (head > 0), sig - fx * x[:, :-1], -np.inf)
-    win_max = _range_max(val, use_fix, y_last)
+    # max of sig(y) - y*fx over the window [x+1, y_last] is its first
+    # element (see basic_streamk_walk_batch); the last column has no peer.
+    win_max = np.full(sig.shape, -np.inf)
+    win_max[:, :-1] = sig[:, 1:] - fx * x[:, 1:-1]
     fix_end = (
         np.maximum(own_end + peers * fx, win_max + (y_last + 1) * fx) + st
     )
 
     finish = np.where(use_fix, fix_end, own_end)
     finish = np.where(valid, finish, -np.inf)
-    return finish.max(axis=1)
-
-
-def _range_max(
-    val: np.ndarray, use: np.ndarray, right: np.ndarray
-) -> np.ndarray:
-    """Per-element contiguous range max: for each (row, x) with ``use``
-    set, ``max(val[row, x+1 : right[row, x] + 1])`` via a sparse table."""
-    n, gmax = val.shape
-    levels = max(1, gmax.bit_length())
-    table = np.empty((levels, n, gmax), dtype=np.float64)
-    table[0] = val
-    for k in range(1, levels):
-        off = 1 << (k - 1)
-        prev = table[k - 1]
-        table[k][:, : gmax - off] = np.maximum(
-            prev[:, : gmax - off], prev[:, off:]
-        )
-        table[k][:, gmax - off:] = prev[:, gmax - off:]
-
-    log2 = np.zeros(gmax + 1, dtype=np.int64)
-    for i in range(2, gmax + 1):
-        log2[i] = log2[i >> 1] + 1
-
-    x = np.arange(gmax, dtype=np.int64)[None, :]
-    left = np.minimum(x + 1, gmax - 1)
-    r = np.clip(np.where(use, right, left), left, gmax - 1)
-    length = r - left + 1
-    k = log2[length]
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    hi_start = r - (1 << k) + 1
-    out = np.maximum(table[k, rows, left], table[k, rows, hi_start])
-    return np.where(use, out, -np.inf)
+    stores = np.count_nonzero((head[:, 1:] > 0) & valid[:, 1:], axis=1)
+    return finish.max(axis=1), stores
 
 
 def two_tile_hybrid_makespan(
@@ -579,26 +589,54 @@ def two_tile_hybrid_makespan_batch(
         )
     mask_walk = (~mask_dp) & (t >= p)
     if mask_walk.any():
-        t_w, ipt_w = t[mask_walk], ipt[mask_walk]
-        res = np.empty(t_w.shape[0], dtype=np.float64)
-        for lo in range(0, t_w.shape[0], max(1, row_chunk)):
-            sl = slice(lo, min(lo + max(1, row_chunk), t_w.shape[0]))
-            res[sl] = _two_tile_chunk(t_w[sl], ipt_w[sl], p, cost)
-        out[mask_walk] = res
+        out[mask_walk] = two_tile_walk_batch(
+            t[mask_walk], ipt[mask_walk], p, cost, row_chunk
+        )[0]
     return out
+
+
+def two_tile_walk_batch(
+    t: np.ndarray,
+    ipt: np.ndarray,
+    p: int,
+    cost: KernelCostModel,
+    row_chunk: int = _BATCH_ROW_CHUNK,
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Exact two-tile-hybrid walk over N main-regime problems (``t >= p``,
+    ``t % p != 0``): ``(makespan, aligned_fraction, fixup_stores)``.
+
+    Broadcasts the per-CTA timeline of :func:`two_tile_hybrid_makespan`
+    over a ``(rows, p)`` grid, one fixed-size row chunk at a time: head
+    contribution, fully-owned tiles, the at-most-one-peer fixup, then the
+    ``w - 1`` data-parallel tiles.
+    ``aligned_fraction`` is the share of iterations in those data-parallel
+    tiles; ``fixup_stores`` counts interior boundaries off a tile edge.
+    """
+    n = t.shape[0]
+    makespan = np.empty(n, dtype=np.float64)
+    aligned_fraction = np.empty(n, dtype=np.float64)
+    stores = np.empty(n, dtype=np.int64)
+    step = max(1, row_chunk)
+    for lo in range(0, n, step):
+        sl = slice(lo, min(lo + step, n))
+        makespan[sl], aligned_fraction[sl], stores[sl] = _two_tile_chunk(
+            t[sl], ipt[sl], p, cost
+        )
+    return makespan, aligned_fraction, stores
 
 
 def _two_tile_chunk(
     t: np.ndarray, ipt: np.ndarray, p: int, cost: KernelCostModel
-) -> np.ndarray:
-    """One row chunk of the two-tile main-regime walk (``w >= 1``,
-    ``t % p != 0``): the scalar per-CTA timeline over a (rows, p) grid."""
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """One row chunk of :func:`two_tile_walk_batch`."""
     c = cost.cycles_per_iter
     pro = cost.prologue_cycles
     sp = cost.store_partials_cycles
     fx = cost.fixup_cycles_per_peer
     st = cost.store_tile_cycles
 
+    # Geometry is bounded by t * ipt; int32 halves memory traffic and
+    # speeds the hot div/mod ops on the (rows, p) matrices when safe.
     geo = (
         np.int32
         if int(t.max()) * int(ipt.max()) < np.iinfo(np.int32).max
@@ -611,10 +649,10 @@ def _two_tile_chunk(
     region = sk_tiles * ipt_c
     base, rem = np.divmod(region, geo(p))
     x = np.arange(p + 1, dtype=geo)[None, :]
-    begins = x * base + np.minimum(x, rem)
+    begins = x * base + np.minimum(x, rem)  # (rows, p+1) range boundaries
     heads_all = (-begins) % ipt_c
     head = heads_all[:, :-1]
-    head_next = heads_all[:, 1:]
+    head_next = heads_all[:, 1:]  # == head of CTA x+1 (or 0 at region end)
     share = begins[:, 1:] - begins[:, :-1]
     # Every share >= ipt in this regime, so b + head is tile-aligned and
     # the owned-tile count reduces to one integer division.
@@ -629,4 +667,9 @@ def _two_tile_chunk(
         last_part > 0, np.maximum(own_end, peer_signal) + fx + st, own_end
     )
     finish = now + (w - 1) * (c * ipt_c + st)
-    return finish.max(axis=1)
+
+    total = (t2 * ipt_c).astype(np.float64)
+    aligned_fraction = ((t2 - sk_tiles) * ipt_c) / total
+    # Interior boundaries off a tile edge: one partial-sum store each.
+    stores = np.count_nonzero(heads_all[:, 1:-1], axis=1)
+    return finish.max(axis=1), aligned_fraction.ravel(), stores

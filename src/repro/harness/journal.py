@@ -200,7 +200,8 @@ def read_timings_npz(path: str) -> "SystemTimings | None":
     if not os.path.exists(path):
         return None
     try:
-        with np.load(path, allow_pickle=False) as doc:
+        # Opened here, not by np.load, so a truncated zip cannot leak it.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
             shapes = doc["shapes"]
             choice = doc["cublas_choice"]
             if choice.shape[0] != shapes.shape[0]:

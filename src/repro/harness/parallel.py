@@ -738,7 +738,9 @@ def _load_eval(path: str, key: str) -> "SystemTimings | None":
     if not os.path.exists(path):
         return None  # plain miss, not corruption
     try:
-        with np.load(path, allow_pickle=False) as doc:
+        # np.load leaves a path it opened open when the zip is truncated;
+        # a file object we own is closed whatever np.load raises.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as doc:
             if str(doc["key"]) != key:
                 return None  # truncated-hash collision: a miss, keep it
             shapes = doc["shapes"]

@@ -52,7 +52,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..gemm.dtypes import DtypeConfig, get_dtype_config
 from ..gemm.tiling import Blocking
-from ..gpu.analytic import basic_streamk_makespan_batch
+from ..gpu.analytic import basic_streamk_walk_batch, two_tile_walk_batch
 from ..gpu.costmodel import KernelCostModel
 from ..gpu.spec import GpuSpec
 from ..model.cost import StreamKModelParams
@@ -83,12 +83,6 @@ KIND_NAMES = ("data_parallel", "basic_stream_k", "two_tile")
 
 _L2_RESIDENCY = 0.8
 _PIPELINE_STAGES = 2
-
-#: Row-chunk size bounding the transient (rows, p+1) matrices of the
-#: two-tile walk (and the Regime-B boundary profile), so corpora far larger
-#: than the paper's 32,824 shapes — or GPUs with huge ``total_cta_slots`` —
-#: never scale peak memory with N.
-_WALK_ROW_CHUNK = 8192
 
 #: Batches with fewer rows than this take the row path (:func:`_plan_rows`);
 #: larger ones take the vectorized path (:func:`_plan_vectorized`).  Set at
@@ -338,133 +332,24 @@ def roofline_time(
 
 
 # --------------------------------------------------------------------- #
-# Two-tile exact walk (Regime C)                                        #
-# --------------------------------------------------------------------- #
-
-
-def _two_tile_walk(
-    t: np.ndarray,
-    ipt: np.ndarray,
-    p: int,
-    cost: KernelCostModel,
-    row_chunk: int = _WALK_ROW_CHUNK,
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Vectorized exact two-tile-hybrid makespan for the ``w >= 1,
-    t % p != 0`` regime.  Returns (makespan, aligned_fraction, stores).
-
-    Broadcasts the per-CTA timeline of
-    :func:`repro.gpu.analytic.two_tile_hybrid_makespan` over a (rows, p)
-    grid, one fixed-size row chunk at a time (the transient (rows, p+1)
-    boundary matrix is the largest allocation in the corpus engine): head
-    contribution, fully-owned tiles, the at-most-one-peer fixup, then the
-    ``w - 1`` data-parallel tiles.
-    """
-    n = t.shape[0]
-    makespan = np.empty(n, dtype=np.float64)
-    aligned_fraction = np.empty(n, dtype=np.float64)
-    stores = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, max(1, row_chunk)):
-        sl = slice(lo, min(lo + max(1, row_chunk), n))
-        makespan[sl], aligned_fraction[sl], stores[sl] = _two_tile_walk_chunk(
-            t[sl], ipt[sl], p, cost
-        )
-    return makespan, aligned_fraction, stores
-
-
-def _two_tile_walk_chunk(
-    t: np.ndarray, ipt: np.ndarray, p: int, cost: KernelCostModel
-) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """One row chunk of :func:`_two_tile_walk`."""
-    c = cost.cycles_per_iter
-    pro = cost.prologue_cycles
-    sp = cost.store_partials_cycles
-    fx = cost.fixup_cycles_per_peer
-    st = cost.store_tile_cycles
-
-    # Geometry is bounded by t * ipt; int32 halves memory traffic and
-    # speeds the hot div/mod ops on the (rows, p) matrices when safe.
-    geo = (
-        np.int32
-        if int(t.max()) * int(ipt.max()) < np.iinfo(np.int32).max
-        else np.int64
-    )
-    t = t[:, None].astype(geo)
-    ipt_c = ipt[:, None].astype(geo)
-    w = t // geo(p)
-    sk_tiles = t - (w - 1) * geo(p)
-    region = sk_tiles * ipt_c
-    base, rem = np.divmod(region, geo(p))
-    x = np.arange(p + 1, dtype=geo)[None, :]
-    begins = x * base + np.minimum(x, rem)  # (rows, p+1) range boundaries
-    heads_all = (-begins) % ipt_c
-    b_misaligned = heads_all[:, 1:-1]  # interior boundaries off tile edges
-    head = heads_all[:, :-1]
-    head_next = heads_all[:, 1:]  # == head of CTA x+1 (or 0 at region end)
-    share = begins[:, 1:] - begins[:, :-1]
-    # In this regime every share >= ipt, so b + head is tile-aligned and
-    # the owned-tile count reduces to one integer division.
-    last_part = np.where(head_next != 0, ipt_c - head_next, 0)
-    fully = (share - head - last_part) // ipt_c
-
-    now = pro + np.where(head > 0, c * head + sp, 0.0)
-    now = now + fully * (c * ipt_c + st)
-    own_end = now + np.where(last_part > 0, c * last_part, 0.0)
-    peer_signal = pro + c * head_next + sp
-    now = np.where(
-        last_part > 0, np.maximum(own_end, peer_signal) + fx + st, own_end
-    )
-    finish = now + (w - 1) * (c * ipt_c + st)
-    makespan = finish.max(axis=1)
-
-    total = (t * ipt_c).astype(np.float64)
-    aligned_fraction = ((t - sk_tiles) * ipt_c) / total
-    stores = np.count_nonzero(b_misaligned, axis=1)
-    return makespan, aligned_fraction.ravel(), stores
-
-
-def _misaligned_boundaries_batch(
-    total: np.ndarray,
-    g_eff: np.ndarray,
-    ipt: np.ndarray,
-    row_chunk: int = _WALK_ROW_CHUNK,
-) -> np.ndarray:
-    """Per problem, how many of the ``g_eff - 1`` interior partition
-    boundaries fall off a tile edge (each costs one partial-sum exchange).
-    Batched twin of the per-problem profile in
-    :func:`repro.ensembles.streamk_library._region_fixup_profile`."""
-    n = total.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, max(1, row_chunk)):
-        sl = slice(lo, min(lo + max(1, row_chunk), n))
-        tot_c = total[sl]
-        g_c = g_eff[sl]
-        base = (tot_c // g_c)[:, None]
-        rem = (tot_c % g_c)[:, None]
-        gmax = int(g_c.max())
-        bounds = np.arange(1, gmax, dtype=np.int64)[None, :]
-        begins = bounds * base + np.minimum(bounds, rem)
-        mis = (begins % ipt[sl][:, None] != 0) & (bounds < g_c[:, None])
-        out[sl] = np.count_nonzero(mis, axis=1)
-    return out
-
-
-# --------------------------------------------------------------------- #
 # Row path: the same arithmetic on Python ints and floats               #
 # --------------------------------------------------------------------- #
 #
-# Each helper below repeats one vectorized stage above operation for
-# operation (same operand order, same int -> float conversion points), so
-# its floats are bitwise equal to that stage's column entry.  Where the
-# vectorized stage adds a masked-out 0.0 to a positive cycle count, the row
-# path skips the no-op addition.  They do not reuse the scalar oracles in
-# repro.gpu.analytic, which sum some terms in a different order.
+# Each helper below repeats one vectorized stage (above, or a batch walk in
+# repro.gpu.analytic) operation for operation (same operand order, same
+# int -> float conversion points), so its floats are bitwise equal to that
+# stage's column entry.  Where the vectorized stage adds a masked-out 0.0 to
+# a positive cycle count, the row path skips the no-op addition.  They do
+# not reuse the scalar oracles in repro.gpu.analytic, which sum some terms
+# in a different order.
 # tests/plan/test_plan_rows.py pins the parity.
 
 
 def _two_tile_row(
     t: int, ipt: int, p: int, cost: KernelCostModel
 ) -> "tuple[float, float, int]":
-    """One row of :func:`_two_tile_walk_chunk`: (makespan, f, stores)."""
+    """One row of :func:`repro.gpu.analytic.two_tile_walk_batch`:
+    (makespan, f, stores)."""
     c = cost.cycles_per_iter
     pro = cost.prologue_cycles
     sp = cost.store_partials_cycles
@@ -521,12 +406,13 @@ def _grid_size_row(
 def _streamk_row(
     t: int, g: int, ipt: int, cost: KernelCostModel
 ) -> "tuple[float, int]":
-    """One row of :func:`repro.gpu.analytic.basic_streamk_makespan_batch`
-    and :func:`_misaligned_boundaries_batch`: (makespan, stores).
+    """One row of :func:`repro.gpu.analytic.basic_streamk_walk_batch`:
+    (makespan, stores).
 
-    CTAs are walked last to first, so the fixup chain's peers (the CTAs
-    after ``x`` that start inside ``x``'s last tile) are already priced.
-    A boundary off a tile edge is a CTA ``x >= 1`` entering mid-tile.
+    CTAs are walked last to first, carrying ``sig(x+1) - (x+1)*fx`` of the
+    CTA after ``x``: the maximum over ``x``'s fixup peers is that first
+    peer's value (the argument is in ``basic_streamk_walk_batch``).  A
+    boundary off a tile edge is a CTA ``x >= 1`` entering mid-tile.
     """
     c = cost.cycles_per_iter
     pro = cost.prologue_cycles
@@ -538,37 +424,35 @@ def _streamk_row(
     base, rem = divmod(total, g_eff)
     cut = rem * (base + 1)
     step = c * ipt + st
-    # sig(y) - y*fx of every mid-tile entrant y, -inf for the rest.
-    val = [-math.inf] * g_eff
     makespan = -math.inf
     stores = 0
+    val_next = -math.inf  # sig(x+1) - (x+1)*fx; read only if x+1 is a peer
     for x in range(g_eff - 1, -1, -1):
         if x < rem:
             begin, share = x * (base + 1), base + 1
         else:
             begin, share = x * base + rem, base
         head = -begin % ipt
+        hh = head if head < share else share
+        val = pro + c * hh + sp - fx * x
         if head:
-            hh = head if head < share else share
-            val[x] = pro + c * hh + sp - fx * x
             now = pro + (c * hh + sp)
             if x:
                 stores += 1
         else:
-            hh = 0
             now = float(pro)
         n_full, last_part = divmod(share - hh, ipt)
         finish = now + n_full * step + c * last_part
         if last_part:
             q = begin + hh + (n_full + 1) * ipt - 1  # last iteration of the tile
             y_last = q // (base + 1) if q < cut else rem + (q - cut) // base
-            win_max = max(val[x + 1:y_last + 1])
             finish = (
-                max(finish + (y_last - x) * fx, win_max + (y_last + 1) * fx)
+                max(finish + (y_last - x) * fx, val_next + (y_last + 1) * fx)
                 + st
             )
         if finish > makespan:
             makespan = finish
+        val_next = val
     return makespan, stores
 
 
@@ -708,7 +592,7 @@ def _plan_vectorized(
     mask_c = (~mask_a) & (t >= p)
     if mask_c.any():
         with span("two_tile_walk"):
-            walk_span, frac, n_stores = _two_tile_walk(
+            walk_span, frac, n_stores = two_tile_walk_batch(
                 t[mask_c], ipt[mask_c], p, cost
             )
         makespan[mask_c] = walk_span
@@ -727,14 +611,12 @@ def _plan_vectorized(
                 tot_b, ipt_b, params, gpu.total_cta_slots
             )
         with span("makespan_batch"):
-            makespan[mask_b] = basic_streamk_makespan_batch(
+            makespan[mask_b], mis = basic_streamk_walk_batch(
                 t_b, g_b, ipt_b, cost
             )
-        g_eff = np.minimum(g_b, tot_b)
-        mis = _misaligned_boundaries_batch(tot_b, g_eff, ipt_b)
         stores[mask_b] = mis
         f[mask_b] = (mis == 0).astype(np.float64)
-        g_arr[mask_b] = g_eff
+        g_arr[mask_b] = np.minimum(g_b, tot_b)
         kinds[mask_b] = KIND_NAMES.index("basic_stream_k")
 
     traffic = traffic_bytes(
@@ -777,8 +659,9 @@ def plan_batch(
     larger batches run the vectorized path: the batched Appendix A.1
     argmin (:func:`repro.model.gridsize.select_grid_sizes_batch`), the
     batched exact walk
-    (:func:`repro.gpu.analytic.basic_streamk_makespan_batch`), and the
-    vectorized two-tile walk.  The row path repeats the vectorized
+    (:func:`repro.gpu.analytic.basic_streamk_walk_batch`), and the
+    vectorized two-tile walk
+    (:func:`repro.gpu.analytic.two_tile_walk_batch`).  The row path repeats the vectorized
     arithmetic operation for operation, so both return bitwise-identical
     columns for any input.
 

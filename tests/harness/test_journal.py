@@ -6,9 +6,11 @@ worker pools.  The end-to-end kill/resume contract lives in
 """
 
 import errno
+import gc
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,26 @@ class TestNpzCodec:
         with open(path, "wb") as fh:
             fh.write(b"\x00garbage, not a zip")
         assert read_timings_npz(path) is None
+
+    def test_read_truncated_returns_none_and_closes_file(
+        self, tmp_path, timings
+    ):
+        path = str(tmp_path / "t.npz")
+        write_timings_npz(path, timings)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])  # valid zip magic, torn tail
+        gc.collect()  # earlier tests' garbage must not warn in the block
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_timings_npz(path) is None
+            gc.collect()
+        leaks = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning) and path in str(w.message)
+        ]
+        assert leaks == []
 
     def test_failed_write_leaves_no_temp(self, tmp_path, timings, monkeypatch):
         def no_space(src, dst):

@@ -5,7 +5,9 @@ yield the bitwise-exact corpus result through retry or serial fallback,
 with every recovery step visible in the ``harness.*`` obs counters.
 """
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +202,31 @@ class TestEvalCacheQuarantine:
         evaluate_corpus_cached(small, FP64, A100, cache_dir=str(tmp_path))
         assert os.path.exists(path + ".corrupt")
         assert get_counter("evalcache.corrupt_quarantined") == 1
+
+    def test_truncated_zip_closes_its_file(self, shapes, tmp_path):
+        """A torn artifact is a quarantined miss that leaves no file open
+        (regression: np.load kept the path it opened when the zip was
+        truncated, seen as ``ResourceWarning: unclosed file``)."""
+        small = shapes[:64]
+        evaluate_corpus_cached(small, FP64, A100, cache_dir=str(tmp_path))
+        key = corpus_fingerprint(small, FP64, A100)
+        path = self._entry_path(tmp_path, small)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        gc.collect()  # earlier tests' garbage must not warn in the block
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert parallel._load_eval(path, key) is None
+            gc.collect()
+        assert os.path.exists(path + ".corrupt")
+        assert get_counter("evalcache.corrupt_quarantined") == 1
+        leaks = [
+            str(w.message) for w in caught
+            if issubclass(w.category, ResourceWarning) and path in str(w.message)
+        ]
+        assert leaks == []
 
     def test_enospc_store_degrades_without_partial_files(
         self, shapes, tmp_path, monkeypatch
